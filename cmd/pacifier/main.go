@@ -94,7 +94,6 @@ func main() {
 		cores       = flag.Int("cores", 16, "number of cores (threads)")
 		ops         = flag.Int("ops", 2000, "memory operations per thread")
 		seed        = flag.Uint64("seed", 1, "simulation seed")
-		shards      = flag.Int("shards", 0, "parallel simulation shards (0 = serial engine; results are identical)")
 		modeName    = flag.String("mode", "gra", "recorder: "+strings.Join(pacifier.ModeNames(), ", "))
 		nonatomic   = flag.Bool("nonatomic", false, "model non-atomic writes (PowerPC/ARM style)")
 		save        = flag.String("save", "", "write the encoded log to this file")
@@ -172,7 +171,7 @@ func main() {
 		flushTraceOnInterrupt(*traceFile, tr)
 	}
 	run, err := pacifier.Record(w, pacifier.Options{Seed: *seed, Atomic: !*nonatomic,
-		Tracer: tr, Shards: *shards, ProfileCycles: *profCycles}, modes...)
+		Tracer: tr, ProfileCycles: *profCycles}, modes...)
 	if err != nil {
 		fail("record: %v", err)
 	}
@@ -277,7 +276,6 @@ func profileCmd(args []string) {
 		cores     = fs.Int("cores", 16, "number of cores (threads)")
 		ops       = fs.Int("ops", 2000, "memory operations per thread")
 		seed      = fs.Uint64("seed", 1, "simulation seed")
-		shards    = fs.Int("shards", 0, "parallel simulation shards (0 = serial; attribution is identical)")
 		modesArg  = fs.String("modes", "gra", `recorder modes to co-record ("all" or a comma list)`)
 		nonatomic = fs.Bool("nonatomic", false, "model non-atomic writes")
 		folded    = fs.String("folded", "", "write folded stacks (core;component cycles) to this file")
@@ -317,7 +315,7 @@ func profileCmd(args []string) {
 		tr = pacifier.NewTracer(w.Name)
 	}
 	run, err := pacifier.Record(w, pacifier.Options{Seed: *seed, Atomic: !*nonatomic,
-		Tracer: tr, Shards: *shards, ProfileCycles: true}, modes...)
+		Tracer: tr, ProfileCycles: true}, modes...)
 	if err != nil {
 		fail("record: %v", err)
 	}
@@ -510,7 +508,6 @@ func sweep(args []string) {
 		coreArg   = fs.String("cores", "16,32,64", "machine sizes (comma list, app jobs only)")
 		ops       = fs.Int("ops", 2000, "memory operations per thread (>= 1)")
 		seed      = fs.Uint64("seed", 1, "simulation seed (>= 1)")
-		shards    = fs.Int("shards", 0, "parallel simulation shards per job (0 = serial engine; results are identical)")
 		modesArg  = fs.String("modes", "karma,vol,gra",
 			`recorder modes, co-recorded per job ("all" or a comma list; valid: `+strings.Join(pacifier.ModeNames(), ", ")+")")
 		noReplay   = fs.Bool("no-replay", false, "record only, skip replay verification")
@@ -589,7 +586,7 @@ func sweep(args []string) {
 				specs = append(specs, harness.JobSpec{
 					Kind: "app", Name: a, Cores: n, Ops: *ops, Seed: *seed,
 					Atomic: !*nonatomic, Modes: modes, Replay: !*noReplay,
-					Compress: *compress, CaptureMetrics: *metrics, Shards: *shards,
+					Compress: *compress, CaptureMetrics: *metrics,
 					ProfileCycles: *profCycles,
 				})
 			}
@@ -606,7 +603,7 @@ func sweep(args []string) {
 		specs = append(specs, harness.JobSpec{
 			Kind: "litmus", Name: l, Seed: *seed,
 			Atomic: !*nonatomic, Modes: modes, Replay: !*noReplay,
-			Compress: *compress, CaptureMetrics: *metrics, Shards: *shards,
+			Compress: *compress, CaptureMetrics: *metrics,
 			ProfileCycles: *profCycles,
 		})
 	}
@@ -1152,20 +1149,13 @@ type benchCase struct {
 
 // benchReport is the BENCH_<date>.json schema.
 type benchReport struct {
-	Date      string `json:"date"`
-	GoVersion string `json:"go"`
-	GOOS      string `json:"goos"`
-	GOARCH    string `json:"goarch"`
-	NumCPU    int    `json:"num_cpu"`
-	Workload  string `json:"workload"`
-	// Shards is the -shards value the sharded record case ran with
-	// (0 = no sharded case measured).
-	Shards int `json:"shards"`
-	// SpeedupVsSerial is serial record ns/op over sharded record
-	// ns/op — > 1 means the parallel engine wins. Only present when a
-	// sharded case was measured; bounded by the host's CPU count.
-	SpeedupVsSerial float64     `json:"speedup_vs_serial,omitempty"`
-	Bench           []benchCase `json:"benchmarks"`
+	Date      string      `json:"date"`
+	GoVersion string      `json:"go"`
+	GOOS      string      `json:"goos"`
+	GOARCH    string      `json:"goarch"`
+	NumCPU    int         `json:"num_cpu"`
+	Workload  string      `json:"workload"`
+	Bench     []benchCase `json:"benchmarks"`
 }
 
 // bench measures record and replay throughput on one workload and emits
@@ -1177,7 +1167,6 @@ func bench(args []string) {
 		cores      = fs.Int("cores", 16, "number of cores (threads)")
 		ops        = fs.Int("ops", 1000, "memory operations per thread")
 		seed       = fs.Uint64("seed", 1, "simulation seed")
-		shards     = fs.Int("shards", 0, "also measure the parallel engine at this shard count (0 = serial only)")
 		profCycles = fs.Bool("profile-cycles", false, "also measure record with the cycle-accounting profiler on (reports its overhead as a separate case)")
 		out        = fs.String("o", "", "output file (default BENCH_<date>.json)")
 		cpuprofile = fs.String("cpuprofile", "", "write a CPU profile to this file")
@@ -1207,22 +1196,6 @@ func bench(args []string) {
 			memops = run.MemOps()
 		}
 	})
-
-	// Optionally measure the same record on the parallel engine. The
-	// execution is bit-identical; only the wall clock may differ.
-	var recordSharded testing.BenchmarkResult
-	if *shards > 0 {
-		sopts := opts
-		sopts.Shards = *shards
-		recordSharded = testing.Benchmark(func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if _, err := pacifier.Record(w, sopts, pacifier.Granule); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
 
 	// Optionally measure record with the profiler attributing cycles; the
 	// delta versus RecordThroughput is the profiler's own cost.
@@ -1263,21 +1236,10 @@ func bench(args []string) {
 		GOARCH:    runtime.GOARCH,
 		NumCPU:    runtime.NumCPU(),
 		Workload:  fmt.Sprintf("%s/p%d ops=%d seed=%d", *app, *cores, *ops, *seed),
-		Shards:    *shards,
 		Bench: []benchCase{
 			caseFrom("RecordThroughput", record, memops),
 			caseFrom("ReplayThroughput", replay, replayed),
 		},
-	}
-	if *shards > 0 {
-		report.Bench = append(report.Bench,
-			caseFrom(fmt.Sprintf("RecordThroughputShards%d", *shards), recordSharded, memops))
-		// Both baselines must be real measurements: a zero serial ns/op
-		// (degenerate timer resolution) would make the ratio 0 or +Inf,
-		// and the benchguard gate would misread either as a regression.
-		if sns, rns := recordSharded.NsPerOp(), record.NsPerOp(); sns > 0 && rns > 0 {
-			report.SpeedupVsSerial = float64(rns) / float64(sns)
-		}
 	}
 	if *profCycles {
 		report.Bench = append(report.Bench,
@@ -1299,10 +1261,6 @@ func bench(args []string) {
 	for _, c := range report.Bench {
 		fmt.Printf("%-24s %12d ns/op %14.0f memops/s %8d allocs/op\n",
 			c.Name, c.NsPerOp, c.MemopsPerS, c.AllocsPerOp)
-	}
-	if report.SpeedupVsSerial > 0 {
-		fmt.Printf("speedup vs serial      %.2fx (shards=%d, %d cpus)\n",
-			report.SpeedupVsSerial, report.Shards, report.NumCPU)
 	}
 	fmt.Printf("report written     %s\n", path)
 	stopProfiles()

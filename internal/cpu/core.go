@@ -87,7 +87,7 @@ type Core struct {
 	l1   *coherence.L1
 	obs  Observer
 	rng  *sim.RNG
-	hub  Barrier
+	hub  *BarrierHub
 	prog trace.Thread
 
 	pc     int
@@ -166,7 +166,7 @@ func (c *Core) SetProfile(on bool) {
 
 // NewCore builds a core. rng must be a dedicated stream for this core.
 func NewCore(pid int, cfg Config, eng *sim.Engine, l1 *coherence.L1,
-	prog trace.Thread, hub Barrier, obs Observer, rng *sim.RNG) *Core {
+	prog trace.Thread, hub *BarrierHub, obs Observer, rng *sim.RNG) *Core {
 	if obs == nil {
 		obs = NopObserver{}
 	}

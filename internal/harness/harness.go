@@ -71,12 +71,6 @@ type JobSpec struct {
 	Atomic bool `json:"atomic"`
 	// MaxChunkOps bounds chunk size (0 = core default).
 	MaxChunkOps int64 `json:"max_chunk_ops,omitempty"`
-	// Shards runs the simulation on the parallel sharded engine
-	// (0 = classic serial engine). Results are bit-identical at every
-	// shard count, but the knob is still part of the spec hash
-	// (omitempty keeps pre-existing serial hashes stable) so cached
-	// results name the engine that produced them.
-	Shards int `json:"shards,omitempty"`
 	// Modes are the recorder modes, by figure-style name ("karma",
 	// "vol", "gra", ...), all recorded simultaneously on one execution
 	// so their logs are directly comparable.

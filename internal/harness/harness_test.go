@@ -120,6 +120,34 @@ func TestSpecHashIdentity(t *testing.T) {
 	}
 }
 
+// TestSpecHashPinned pins the literal cache key of a default
+// cmd/experiments app spec and of a compressed, profiled spec. Existing
+// .pacifier-cache/ entries stay valid only while these strings and
+// cacheVersion are unchanged; dropping or adding an omitempty field at
+// its zero value must leave them alone.
+func TestSpecHashPinned(t *testing.T) {
+	if cacheVersion != "pacifier-harness-v2" {
+		t.Fatalf("cacheVersion = %q, want pacifier-harness-v2", cacheVersion)
+	}
+	for _, tc := range []struct {
+		spec JobSpec
+		want string
+	}{
+		{JobSpec{Kind: "app", Name: "fft", Cores: 16, Ops: 2000, Seed: 1, Atomic: true,
+			Modes:  []string{"karma", "r-all", "r-bound", "move", "gra", "vol", "crd"},
+			Replay: true, Compress: true},
+			"3436360c7dc4dfd936d73e509cbb94bf48dd4fc900834ad259ad8ccb8eb3cdb9"},
+		{JobSpec{Kind: "app", Name: "lu", Cores: 32, Ops: 500, Seed: 3, Atomic: true,
+			Modes:  []string{"karma", "vol", "gra"},
+			Replay: true, Compress: true, ProfileCycles: true},
+			"702bb5f749970cf45bf8e4932ebd35a94cd399476e84f828ce0a89dd37b161d3"},
+	} {
+		if got := tc.spec.Hash(); got != tc.want {
+			t.Errorf("%s hash = %s, want %s", tc.spec.Label(), got, tc.want)
+		}
+	}
+}
+
 // fakeResult builds a deterministic Result without running a simulation.
 func fakeResult(spec JobSpec) *Result {
 	return &Result{Spec: spec, SpecHash: spec.Hash(), NativeCycles: 100, MemOps: 10,

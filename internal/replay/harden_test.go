@@ -86,3 +86,49 @@ func TestReplayRejectsOverlongChunk(t *testing.T) {
 		t.Fatal("chunk past the end of the workload accepted")
 	}
 }
+
+// TestRestoreStateRejectsHostileStates: a State whose scheduler indices
+// disagree with the log must be rejected with ErrBadState, leave the
+// stepper where it was, and never panic.
+func TestRestoreStateRejectsHostileStates(t *testing.T) {
+	w, l := synthWorkload(), synthLog()
+	for _, tc := range []struct {
+		name   string
+		mutate func(*State)
+	}{
+		{"negative cursor", func(st *State) { st.Cursor[1] = -5 }},
+		{"cursor past end", func(st *State) { st.Cursor[2] = 1 << 30 }},
+		{"negative remaining", func(st *State) { st.Remaining = -3 }},
+		{"remaining disagrees with cursors", func(st *State) { st.Remaining++ }},
+		{"steps disagree with cursors", func(st *State) { st.Steps += 2 }},
+		{"scan start out of range", func(st *State) { st.ScanStart = 4 }},
+		{"negative scan position", func(st *State) { st.ScanK = -1 }},
+		{"scan position past end", func(st *State) { st.ScanK = 5 }},
+		{"core count mismatch", func(st *State) { st.Cursor = st.Cursor[:3] }},
+		{"SSB entry outside workload", func(st *State) { st.SSB = append(st.SSB, SSBState{PID: 9, SN: 1}) }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			st, err := NewStepper(l, w, nil, synthConfig())
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := 0; i < 5; i++ {
+				st.Step()
+			}
+			bad := st.CaptureState()
+			tc.mutate(bad)
+			want := st.CaptureState()
+			if err := st.RestoreState(bad); !errors.Is(err, ErrBadState) {
+				t.Fatalf("RestoreState = %v, want ErrBadState", err)
+			}
+			if st.Pos() != 5 {
+				t.Fatalf("rejected restore moved the stepper to pos %d", st.Pos())
+			}
+			a, _ := want.Marshal()
+			b, _ := st.CaptureState().Marshal()
+			if string(a) != string(b) {
+				t.Fatal("rejected restore modified the stepper")
+			}
+		})
+	}
+}

@@ -2,6 +2,7 @@ package replay
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"sort"
 
@@ -10,6 +11,17 @@ import (
 	"pacifier/internal/relog"
 	"pacifier/internal/sim"
 )
+
+// ErrBadState is the sentinel every RestoreState rejection wraps: a
+// State that is inconsistent with the stepper's log and workload (wrong
+// core count, a cursor past the end of a core's chunks, a chunk count
+// that disagrees with the cursors, an out-of-range scan position).
+// Test with errors.Is.
+var ErrBadState = errors.New("replay: invalid state")
+
+func badState(format string, args ...any) error {
+	return fmt.Errorf("%w: "+format, append([]any{ErrBadState}, args...)...)
+}
 
 // State is the complete mutable state of a Stepper at a position
 // between two steps: per-core cursors and clocks, the chunk-completion
@@ -153,21 +165,20 @@ func (s *Stepper) CaptureState() *State {
 
 // RestoreState rewinds (or fast-forwards) the stepper to a previously
 // captured State. The stepper must be over the same (log, workload,
-// config) triple the State was captured from; only counts that can be
-// checked cheaply are validated. After restoring, stepping produces
-// exactly the sequence the original run produced from that position.
+// config) triple the State was captured from. Every field the scheduler
+// indexes with is validated first; a State that fails a check is
+// rejected with an error wrapping ErrBadState and leaves the stepper
+// untouched. After restoring, stepping produces exactly the sequence
+// the original run produced from that position.
 //
 // Process-global telemetry counters (pacifier_replay_*) are monotone
 // event counts and are deliberately not rewound: after a seek they
 // keep counting every chunk the debugger re-executes.
 func (s *Stepper) RestoreState(st *State) error {
+	if err := s.checkState(st); err != nil {
+		return err
+	}
 	r := s.r
-	if len(st.Cursor) != r.log.Cores || len(st.CoreClock) != r.log.Cores {
-		return fmt.Errorf("replay: state covers %d cores, log has %d", len(st.Cursor), r.log.Cores)
-	}
-	if st.SchemaVersion != sim.SchemaVersion {
-		return fmt.Errorf("replay: state schema %d, want %d", st.SchemaVersion, sim.SchemaVersion)
-	}
 	s.steps = st.Steps
 	s.remaining = st.Remaining
 	s.finished = st.Finished
@@ -186,10 +197,7 @@ func (s *Stepper) RestoreState(st *State) error {
 	}
 	r.ssb = make(map[ssbKey]ssbEntry, len(st.SSB))
 	for _, e := range st.SSB {
-		op, ok := s.Op(e.PID, SN(e.SN))
-		if !ok {
-			return fmt.Errorf("replay: state SSB entry core %d sn %d outside workload", e.PID, e.SN)
-		}
+		op, _ := s.Op(e.PID, SN(e.SN))
 		r.ssb[ssbKey{e.PID, e.CID, e.Offset}] = ssbEntry{
 			op: op, sn: SN(e.SN), preds: append([]relog.ChunkRef(nil), e.Preds...),
 		}
@@ -219,6 +227,48 @@ func (s *Stepper) RestoreState(st *State) error {
 			r.hStall.Name = name
 		} else {
 			*r.hStall = sim.Histogram{Name: r.hStall.Name}
+		}
+	}
+	return nil
+}
+
+// checkState validates a State against the stepper's log and workload
+// without modifying the stepper.
+func (s *Stepper) checkState(st *State) error {
+	r := s.r
+	cores := r.log.Cores
+	if st == nil {
+		return badState("nil state")
+	}
+	if st.SchemaVersion != sim.SchemaVersion {
+		return badState("schema %d, want %d", st.SchemaVersion, sim.SchemaVersion)
+	}
+	if len(st.Cursor) != cores || len(st.CoreClock) != cores {
+		return badState("covers %d cores, log has %d", len(st.Cursor), cores)
+	}
+	left := 0
+	for pid, c := range st.Cursor {
+		n := len(r.log.Chunks(pid))
+		if c < 0 || c > n {
+			return badState("core %d cursor %d outside [0,%d]", pid, c, n)
+		}
+		left += n - c
+	}
+	if st.Remaining != left {
+		return badState("remaining %d, cursors leave %d chunks", st.Remaining, left)
+	}
+	if st.Steps != int64(r.log.TotalChunks()-left) {
+		return badState("steps %d, cursors have executed %d chunks", st.Steps, r.log.TotalChunks()-left)
+	}
+	if st.ScanStart < 0 || st.ScanStart >= cores {
+		return badState("scan start %d outside [0,%d)", st.ScanStart, cores)
+	}
+	if st.ScanK < 0 || st.ScanK > cores {
+		return badState("scan position %d outside [0,%d]", st.ScanK, cores)
+	}
+	for _, e := range st.SSB {
+		if _, ok := s.Op(e.PID, SN(e.SN)); !ok {
+			return badState("SSB entry core %d sn %d outside workload", e.PID, e.SN)
 		}
 	}
 	return nil

@@ -255,17 +255,11 @@ type Options struct {
 	// from every layer (chunks, SCV detections, store-buffer drains,
 	// MESI transitions, NoC messages). Nil = tracing off at zero cost.
 	Tracer *Tracer
-	// Shards runs the simulation on the parallel sharded engine:
-	// cores and directory banks are partitioned into this many shards,
-	// each stepped by its own goroutine under conservative lookahead.
-	// 0 = classic serial engine. Results are bit-identical at every
-	// shard count.
-	Shards int
 	// ProfileCycles enables the cycle-accounting profiler: every layer
 	// (L1, directory homes, NoC, cores, recorders) attributes stall and
 	// service cycles to per-core prof.* counters in the run's metrics
-	// registry. Totals are byte-identical serial and at every shard
-	// count; disabled (the default) the hot paths pay one nil compare.
+	// registry. Disabled (the default), the hot paths pay one nil
+	// compare.
 	ProfileCycles bool
 }
 
@@ -325,7 +319,6 @@ func Record(w *Workload, opts Options, modes ...Mode) (*Run, error) {
 	copts.Seed = opts.Seed
 	copts.Atomic = opts.Atomic
 	copts.Tracer = opts.Tracer
-	copts.Shards = opts.Shards
 	copts.ProfileCycles = opts.ProfileCycles
 	if opts.MaxChunkOps > 0 {
 		copts.MaxChunkOps = opts.MaxChunkOps
