@@ -217,19 +217,26 @@ func ReplayExternal(rr *RunResult, log *relog.Log, mode record.Mode,
 	tr *obs.Tracer) (*replay.Result, error) {
 
 	if ref := rr.Recording(mode); ref != nil && log.Cores == rr.Cores {
-		for pid := 0; pid < log.Cores; pid++ {
-			orig := ref.Log.Chunks(pid)
-			byCID := make(map[int64]sim.Cycle, len(orig))
-			for _, c := range orig {
-				byCID[c.CID] = c.Duration
-			}
-			for _, c := range log.Chunks(pid) {
-				c.Duration = byCID[c.CID]
-			}
-		}
+		restoreDurations(log, ref.Log)
 	}
 	return replay.Run(log, rr.Workload, rr.Records,
 		replay.Config{Tracer: tr, Stats: rr.Stats, Profile: rr.Profiled})
+}
+
+// restoreDurations sets each chunk's duration, which the wire encoding
+// drops, from the chunk with the same dense CID on the same core of the
+// reference log (zero when the reference has no such chunk). Both logs
+// must have the same core count.
+func restoreDurations(log, ref *relog.Log) {
+	for pid := 0; pid < log.Cores; pid++ {
+		orig := ref.Chunks(pid)
+		for _, c := range log.Chunks(pid) {
+			c.Duration = 0
+			if c.CID >= 0 && c.CID < int64(len(orig)) && orig[c.CID].CID == c.CID {
+				c.Duration = orig[c.CID].Duration
+			}
+		}
+	}
 }
 
 // NewDebugSession opens a time-travel debugging session (internal/debug)
@@ -247,16 +254,7 @@ func NewDebugSession(rr *RunResult, log *relog.Log, mode record.Mode, interval i
 		}
 		log = ref.Log
 	} else if ref != nil && log.Cores == rr.Cores {
-		for pid := 0; pid < log.Cores; pid++ {
-			orig := ref.Log.Chunks(pid)
-			byCID := make(map[int64]sim.Cycle, len(orig))
-			for _, c := range orig {
-				byCID[c.CID] = c.Duration
-			}
-			for _, c := range log.Chunks(pid) {
-				c.Duration = byCID[c.CID]
-			}
-		}
+		restoreDurations(log, ref.Log)
 	}
 	// Each session gets a private stats registry: the session's stall
 	// histogram is part of its checkpointed state, and sharing the run's

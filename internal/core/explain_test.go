@@ -6,6 +6,7 @@ import (
 	"pacifier/internal/obs"
 	"pacifier/internal/record"
 	"pacifier/internal/relog"
+	"pacifier/internal/sim"
 	"pacifier/internal/trace"
 )
 
@@ -120,6 +121,36 @@ func TestReplayTracedDeterministic(t *testing.T) {
 		}
 		if !found {
 			t.Error("replay.stall_cycles histogram empty after traced replay")
+		}
+	}
+}
+
+// TestRestoreDurations: a decoded log gets each chunk's duration from
+// the reference chunk with the same dense CID; a chunk the reference
+// does not have gets zero.
+func TestRestoreDurations(t *testing.T) {
+	ref := relog.NewLog(2)
+	for pid := 0; pid < 2; pid++ {
+		for cid := int64(0); cid < 3; cid++ {
+			ref.Append(&relog.Chunk{PID: pid, CID: cid, Duration: sim.Cycle(10*pid + int(cid) + 1)})
+		}
+	}
+	log := relog.NewLog(2)
+	for pid := 0; pid < 2; pid++ {
+		for cid := int64(0); cid < 4; cid++ {
+			log.Append(&relog.Chunk{PID: pid, CID: cid, Duration: 99})
+		}
+	}
+	restoreDurations(log, ref)
+	for pid := 0; pid < 2; pid++ {
+		for _, c := range log.Chunks(pid) {
+			want := sim.Cycle(0)
+			if c.CID < 3 {
+				want = sim.Cycle(10*pid + int(c.CID) + 1)
+			}
+			if c.Duration != want {
+				t.Fatalf("chunk %d/%d duration %d, want %d", pid, c.CID, c.Duration, want)
+			}
 		}
 	}
 }

@@ -332,8 +332,7 @@ func (s *Session) MemValue(addr uint64) uint64 {
 // flush and makespan, exactly like a batch replay; seeking afterwards
 // rewinds the finalization.
 func (s *Session) Result() *replay.Result {
-	res, _ := s.st.Finish()
-	return res
+	return s.st.Finish()
 }
 
 // ProfReport returns the replay-side cycle attribution accumulated up

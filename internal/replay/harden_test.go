@@ -106,6 +106,24 @@ func TestRestoreStateRejectsHostileStates(t *testing.T) {
 		{"scan position past end", func(st *State) { st.ScanK = 5 }},
 		{"core count mismatch", func(st *State) { st.Cursor = st.Cursor[:3] }},
 		{"SSB entry outside workload", func(st *State) { st.SSB = append(st.SSB, SSBState{PID: 9, SN: 1}) }},
+		// At position 5 chunks 0/0, 1/0, 2/0, 3/0 and 3/1 have executed,
+		// and chunk 0/0's delayed store (offset 0, SN 1) is parked.
+		{"chunk_end core out of range", func(st *State) { st.ChunkEnd[4].PID = 4 }},
+		{"chunk_end of an unexecuted chunk", func(st *State) { st.ChunkEnd[0].CID = 1 }},
+		{"negative chunk_end chunk", func(st *State) { st.ChunkEnd[0].CID = -1 }},
+		{"chunk_end entry missing", func(st *State) { st.ChunkEnd = st.ChunkEnd[:4] }},
+		{"chunk_end entry extra", func(st *State) { st.ChunkEnd = append(st.ChunkEnd, ChunkEndState{PID: 3, CID: 2}) }},
+		{"chunk_end entry repeated", func(st *State) { st.ChunkEnd[4] = st.ChunkEnd[3] }},
+		{"SSB entry not a delayed store", func(st *State) { st.SSB[0].Offset, st.SSB[0].SN = 1, 2 }},
+		{"SSB entry with the wrong SN", func(st *State) { st.SSB[0].SN = 2 }},
+		{"SSB entry of an unexecuted chunk", func(st *State) {
+			st.SSB = append(st.SSB, SSBState{PID: 0, CID: 1, Offset: 0, SN: 3})
+		}},
+		{"SSB entry with foreign preds", func(st *State) { st.SSB[0].Preds = []relog.ChunkRef{{PID: 63, CID: 0}} }},
+		{"SSB entry repeated", func(st *State) { st.SSB = append(st.SSB, st.SSB[0]) }},
+		{"memory word no store targets", func(st *State) {
+			st.Mem = append(st.Mem, MemState{Addr: uint64(trace.SharedWord(9, 3)), Val: 1})
+		}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			st, err := NewStepper(l, w, nil, synthConfig())

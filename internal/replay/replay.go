@@ -18,7 +18,9 @@
 package replay
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 
 	"pacifier/internal/coherence"
 	"pacifier/internal/cpu"
@@ -33,9 +35,6 @@ import (
 
 // SN aliases the global sequence number.
 type SN = coherence.SN
-
-// DebugStuck, when set by tests, observes scheduler deadlocks.
-var DebugStuck func(log *relog.Log, cursor []int, done map[relog.ChunkRef]bool, ssb map[string][]relog.ChunkRef)
 
 // Mismatch is one divergence between replay and recording.
 type Mismatch struct {
@@ -160,6 +159,11 @@ type ssbKey struct {
 	offset int32
 }
 
+// compareSSBKeys orders delayed stores by (pid, cid, offset).
+func compareSSBKeys(a, b ssbKey) int {
+	return cmp.Or(cmp.Compare(a.pid, b.pid), cmp.Compare(a.cid, b.cid), cmp.Compare(a.offset, b.offset))
+}
+
 // ssbEntry is a parked delayed store.
 type ssbEntry struct {
 	op    trace.Op
@@ -167,18 +171,35 @@ type ssbEntry struct {
 	preds []relog.ChunkRef
 }
 
-// replayer is the working state.
+// replayer is the working state. Replaying a memory op touches no map:
+// relog.Validate guarantees that a core's chunks carry dense CIDs whose
+// SN ranges tile 1..n, and the scheduler only ever runs a core's chunk
+// at its cursor, so each core's chunks execute in CID order. Hence a
+// core's ops are read by walking its thread in place, a chunk is done
+// iff its CID is below its core's cursor, and completion cycles live in
+// a dense per-core table.
 type replayer struct {
 	cfg      Config
 	log      *relog.Log
-	memOps   [][]trace.Op // per core, memory ops in SN order
+	threads  []trace.Thread // the workload's programs, walked in place
 	expected [][]cpu.ExecRecord
-	mem      map[coherence.Addr]uint64
+	mem      memImage
 	mesh     *noc.Mesh
 
 	cursor []int // next chunk index per core
-	// chunkEnd doubles as the done set: a chunk is done iff present.
-	chunkEnd  map[relog.ChunkRef]sim.Cycle
+	// pos[pid] is the index in threads[pid] just past the last memory op
+	// of core pid's executed chunks: where its next chunk's walk starts.
+	pos []int
+	// chunkEnd[pid][cid] is the completion cycle of chunk cid of core
+	// pid; only entries below cursor[pid] are meaningful.
+	chunkEnd [][]sim.Cycle
+	// opIdx[pid][sn-1] is the index in threads[pid] of memory op sn.
+	// Only random access by SN (Op, RestoreState) needs it, so it is
+	// built on first use; storeAddrs, the sorted addresses the workload
+	// stores to, likewise serves RestoreState alone.
+	opIdx      [][]int
+	storeAddrs []coherence.Addr
+
 	ssb       map[ssbKey]ssbEntry
 	coreClock []sim.Cycle
 	res       *Result
@@ -229,23 +250,20 @@ func (r *replayer) curCID(pid int) int64 {
 // with the recorded outcomes. expected[pid][sn-1] must be the recorded
 // ExecRecord (pass nil to skip verification).
 func Run(log *relog.Log, w *trace.Workload, expected [][]cpu.ExecRecord, cfg Config) (*Result, error) {
-	res, _, err := RunWithMemory(log, w, expected, cfg)
-	return res, err
+	st, err := runToEnd(log, w, expected, cfg)
+	if err != nil {
+		return nil, err
+	}
+	return st.Result(), nil
 }
 
-// ssbView renders the SSB for debugging.
-func (r *replayer) ssbView() map[string][]relog.ChunkRef {
-	out := map[string][]relog.ChunkRef{}
-	for k, e := range r.ssb {
-		out[fmt.Sprintf("p%d/c%d/o%d", k.pid, k.cid, k.offset)] = e.preds
-	}
-	return out
-}
+// done reports whether chunk p has executed.
+func (r *replayer) done(p relog.ChunkRef) bool { return p.CID < int64(r.cursor[p.PID]) }
 
 // ready reports whether every order constraint of the chunk is met.
 func (r *replayer) ready(c *relog.Chunk) bool {
 	for _, p := range c.Preds {
-		if _, done := r.chunkEnd[p]; !done {
+		if !r.done(p) {
 			return false
 		}
 	}
@@ -257,7 +275,7 @@ func (r *replayer) ready(c *relog.Chunk) bool {
 			return false
 		}
 		for _, p := range e.preds {
-			if _, done := r.chunkEnd[p]; !done {
+			if !r.done(p) {
 				return false
 			}
 		}
@@ -265,11 +283,19 @@ func (r *replayer) ready(c *relog.Chunk) bool {
 	return true
 }
 
+// isMemOp reports whether an op of kind k carries an SN.
+func isMemOp(k trace.OpKind) bool {
+	switch k {
+	case trace.Read, trace.Write, trace.Acquire, trace.Release:
+		return true
+	}
+	return false
+}
+
 // execute replays one chunk atomically: P_set compensation stores first,
 // then the body with D_set skips and VLog overrides. It returns the
 // chunk's modeled execution span.
 func (r *replayer) execute(c *relog.Chunk, forced bool) (sim.Cycle, sim.Cycle) {
-	ref := relog.ChunkRef{PID: c.PID, CID: c.CID}
 	// Timing: start after the po-predecessor and all chunk preds (+wake).
 	startAt := r.coreClock[c.PID]
 	wake := func(srcPID int) sim.Cycle {
@@ -278,23 +304,22 @@ func (r *replayer) execute(c *relog.Chunk, forced bool) (sim.Cycle, sim.Cycle) {
 	// wakePart remembers the mesh latency of whichever predecessor set
 	// startAt, so the stall can be attributed as network wake vs wait.
 	var wakePart sim.Cycle
-	for _, p := range c.Preds {
-		if end, ok := r.chunkEnd[p]; ok {
-			if wk := wake(p.PID); end+wk > startAt {
-				startAt = end + wk
-				wakePart = wk
-			}
+	after := func(p relog.ChunkRef) {
+		if !r.done(p) {
+			return
 		}
+		if end, wk := r.chunkEnd[p.PID][p.CID], wake(p.PID); end+wk > startAt {
+			startAt = end + wk
+			wakePart = wk
+		}
+	}
+	for _, p := range c.Preds {
+		after(p)
 	}
 	for _, pe := range c.PSet {
 		if e, ok := r.ssb[ssbKey{c.PID, pe.SrcCID, pe.Offset}]; ok {
 			for _, p := range e.preds {
-				if end, ok2 := r.chunkEnd[p]; ok2 {
-					if wk := wake(p.PID); end+wk > startAt {
-						startAt = end + wk
-						wakePart = wk
-					}
-				}
+				after(p)
 			}
 		}
 	}
@@ -331,9 +356,15 @@ func (r *replayer) execute(c *relog.Chunk, forced bool) (sim.Cycle, sim.Cycle) {
 	}
 
 	// Body. D_set and VLog are tiny per chunk (usually empty), so a
-	// linear scan beats building per-chunk lookup maps.
+	// linear scan beats building per-chunk lookup maps. The chunk's ops
+	// are the thread's next memory ops, read in place from pos.
+	th, i := r.threads[c.PID], r.pos[c.PID]
 	for sn := c.StartSN; sn <= c.EndSN; sn++ {
-		op := r.memOps[c.PID][sn-1]
+		for !isMemOp(th[i].Kind) {
+			i++
+		}
+		op := th[i]
+		i++
 		off := int32(sn - c.StartSN)
 		r.res.OpsReplayed++
 		var d *relog.DEntry
@@ -362,18 +393,19 @@ func (r *replayer) execute(c *relog.Chunk, forced bool) (sim.Cycle, sim.Cycle) {
 		}
 		switch op.Kind {
 		case trace.Read:
-			r.check(c.PID, sn, op, r.mem[op.Addr], false)
+			r.check(c.PID, sn, op, r.mem.get(op.Addr), false)
 		case trace.Write, trace.Release:
 			r.applyStore(c.PID, sn, op)
 		case trace.Acquire:
-			old := r.mem[op.Addr]
+			old := r.mem.get(op.Addr)
 			applied := old == 0
 			if applied {
-				r.mem[op.Addr] = 1
+				r.mem.set(op.Addr, 1)
 			}
 			r.checkRMW(c.PID, sn, op, old, applied)
 		}
 	}
+	r.pos[c.PID] = i
 	r.res.ChunksReplayed++
 	if r.tmChunks != nil {
 		r.tmChunks.Add(1)
@@ -381,7 +413,7 @@ func (r *replayer) execute(c *relog.Chunk, forced bool) (sim.Cycle, sim.Cycle) {
 	}
 	end := startAt + c.Duration
 	r.coreClock[c.PID] = end
-	r.chunkEnd[ref] = end
+	r.chunkEnd[c.PID][c.CID] = end
 	if r.tr != nil {
 		r.tr.ReplayChunk(c.PID, c.CID, int64(startAt), int64(end),
 			int64(c.EndSN-c.StartSN+1), int64(stall))
@@ -404,9 +436,9 @@ func vlogValue(vlog []relog.VEntry, off int32) (uint64, bool) {
 func (r *replayer) applyStore(pid int, sn SN, op trace.Op) {
 	switch op.Kind {
 	case trace.Write:
-		r.mem[op.Addr] = cpu.StoreValue(pid, sn)
+		r.mem.set(op.Addr, cpu.StoreValue(pid, sn))
 	case trace.Release:
-		r.mem[op.Addr] = 0
+		r.mem.set(op.Addr, 0)
 	default:
 		// The log delayed this SN as a store but the workload op is not
 		// one: a log/workload mismatch, not a crash.
@@ -479,15 +511,7 @@ func (r *replayer) flushSSB() {
 	for k := range r.ssb {
 		keys = append(keys, k)
 	}
-	// Deterministic order.
-	for i := 0; i < len(keys); i++ {
-		for j := i + 1; j < len(keys); j++ {
-			a, b := keys[i], keys[j]
-			if b.pid < a.pid || (b.pid == a.pid && (b.cid < a.cid || (b.cid == a.cid && b.offset < a.offset))) {
-				keys[i], keys[j] = keys[j], keys[i]
-			}
-		}
-	}
+	slices.SortFunc(keys, compareSSBKeys)
 	for _, k := range keys {
 		e := r.ssb[k]
 		r.applyStore(k.pid, e.sn, e.op)
@@ -511,15 +535,24 @@ type FinalMemory map[coherence.Addr]uint64
 // checkpoint-restored) session and a batch replay are identical by
 // construction, not by parallel maintenance.
 func RunWithMemory(log *relog.Log, w *trace.Workload, expected [][]cpu.ExecRecord, cfg Config) (*Result, FinalMemory, error) {
-	st, err := NewStepper(log, w, expected, cfg)
+	st, err := runToEnd(log, w, expected, cfg)
 	if err != nil {
 		return nil, nil, err
+	}
+	return st.Result(), st.Memory(), nil
+}
+
+// runToEnd steps a new Stepper through the whole schedule and finishes it.
+func runToEnd(log *relog.Log, w *trace.Workload, expected [][]cpu.ExecRecord, cfg Config) (*Stepper, error) {
+	st, err := NewStepper(log, w, expected, cfg)
+	if err != nil {
+		return nil, err
 	}
 	for {
 		if _, ok := st.Step(); !ok {
 			break
 		}
 	}
-	res, mem := st.Finish()
-	return res, mem, nil
+	st.Finish()
+	return st, nil
 }

@@ -1,9 +1,11 @@
 package replay
 
 import (
+	"slices"
 	"testing"
 
 	"pacifier/internal/cpu"
+	"pacifier/internal/obs"
 	"pacifier/internal/relog"
 	"pacifier/internal/trace"
 )
@@ -229,5 +231,55 @@ func TestReplayLeftoverSSBFlushed(t *testing.T) {
 	}
 	if mem[trace.SharedWord(0, 0)] != cpu.StoreValue(0, 1) {
 		t.Fatal("leftover store not flushed to memory")
+	}
+}
+
+// TestLeftoverSSBFlushOrder: delayed stores no P_set claims flush in
+// (pid, cid, offset) order, each counted, so the last in that order
+// decides the final value of a word they share.
+func TestLeftoverSSBFlushOrder(t *testing.T) {
+	x := trace.SharedWord(0, 0)
+	w := &trace.Workload{Name: "leftovers", Threads: []trace.Thread{
+		{{Kind: trace.Write, Addr: x}, {Kind: trace.Compute, Cycles: 3}, {Kind: trace.Write, Addr: x}},
+		{{Kind: trace.Write, Addr: x}, {Kind: trace.Write, Addr: x}},
+	}}
+	l := relog.NewLog(2)
+	delayed := func(offs ...int32) []relog.DEntry {
+		var d []relog.DEntry
+		for _, o := range offs {
+			d = append(d, relog.DEntry{Offset: o})
+		}
+		return d
+	}
+	l.Append(&relog.Chunk{PID: 0, CID: 0, StartSN: 1, EndSN: 1, TS: 0, Duration: 5, DSet: delayed(0)})
+	l.Append(&relog.Chunk{PID: 0, CID: 1, StartSN: 2, EndSN: 2, TS: 2, Duration: 5, DSet: delayed(0)})
+	l.Append(&relog.Chunk{PID: 1, CID: 0, StartSN: 1, EndSN: 2, TS: 1, Duration: 5, DSet: delayed(1, 0)})
+	tr := obs.New("leftovers")
+	res, mem, err := RunWithMemory(l, w, nil, Config{Tracer: tr})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.LeftoverSSB != 4 {
+		t.Fatalf("leftover SSB %d, want 4", res.LeftoverSSB)
+	}
+	type ref struct {
+		pid     int32
+		cid, sn int64
+	}
+	want := []ref{{0, 0, 1}, {0, 1, 2}, {1, 0, 1}, {1, 0, 2}}
+	var got []ref
+	for _, e := range tr.Events() {
+		if e.Kind == obs.KReplayDiverge {
+			got = append(got, ref{e.Core, e.CID, e.SN})
+		}
+	}
+	if !slices.Equal(got, want) {
+		t.Fatalf("flush order %v, want %v", got, want)
+	}
+	if d := res.Divergence; d == nil || d.Kind != "leftover-ssb" || d.PID != 0 || d.CID != 0 {
+		t.Fatalf("first divergence %v, want core 0 chunk 0's leftover store", d)
+	}
+	if mem[x] != cpu.StoreValue(1, 2) {
+		t.Fatalf("final x = %#x, want core 1 sn 2's store %#x", mem[x], cpu.StoreValue(1, 2))
 	}
 }

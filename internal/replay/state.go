@@ -1,22 +1,25 @@
 package replay
 
 import (
+	"cmp"
 	"encoding/json"
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 
 	"pacifier/internal/coherence"
 	"pacifier/internal/prof"
 	"pacifier/internal/relog"
 	"pacifier/internal/sim"
+	"pacifier/internal/trace"
 )
 
 // ErrBadState is the sentinel every RestoreState rejection wraps: a
 // State that is inconsistent with the stepper's log and workload (wrong
 // core count, a cursor past the end of a core's chunks, a chunk count
-// that disagrees with the cursors, an out-of-range scan position).
-// Test with errors.Is.
+// that disagrees with the cursors, an out-of-range scan position, a
+// chunk_end or SSB entry that is not an executed chunk's, a memory word
+// no store op targets). Test with errors.Is.
 var ErrBadState = errors.New("replay: invalid state")
 
 func badState(format string, args ...any) error {
@@ -60,7 +63,7 @@ type State struct {
 	ChunkEnd []ChunkEndState `json:"chunk_end"`
 	// SSB is the simulated store buffer of parked delayed stores, sorted
 	// by (PID, CID, Offset). The parked trace.Op is not serialized: it is
-	// re-derived from the workload as memOps[pid][sn-1].
+	// re-derived from the workload by its SN.
 	SSB []SSBState `json:"ssb"`
 	// Mem is the replayed memory image, sorted by address.
 	Mem []MemState `json:"mem"`
@@ -115,44 +118,31 @@ func (s *Stepper) CaptureState() *State {
 		RNG:           r.rng.State(),
 		Cursor:        append([]int(nil), r.cursor...),
 		CoreClock:     make([]int64, len(r.coreClock)),
-		ChunkEnd:      make([]ChunkEndState, 0, len(r.chunkEnd)),
+		ChunkEnd:      make([]ChunkEndState, 0, s.steps),
 		SSB:           make([]SSBState, 0, len(r.ssb)),
-		Mem:           make([]MemState, 0, len(r.mem)),
+		Mem:           r.mem.sorted(),
 		Result:        cloneResult(r.res),
 	}
 	for i, c := range r.coreClock {
 		st.CoreClock[i] = int64(c)
 	}
-	for ref, end := range r.chunkEnd {
-		st.ChunkEnd = append(st.ChunkEnd, ChunkEndState{PID: ref.PID, CID: ref.CID, End: int64(end)})
-	}
-	sort.Slice(st.ChunkEnd, func(i, j int) bool {
-		a, b := st.ChunkEnd[i], st.ChunkEnd[j]
-		if a.PID != b.PID {
-			return a.PID < b.PID
+	for pid, n := range r.cursor {
+		for cid, end := range r.chunkEnd[pid][:n] {
+			st.ChunkEnd = append(st.ChunkEnd, ChunkEndState{PID: pid, CID: int64(cid), End: int64(end)})
 		}
-		return a.CID < b.CID
-	})
-	for k, e := range r.ssb {
+	}
+	keys := make([]ssbKey, 0, len(r.ssb))
+	for k := range r.ssb {
+		keys = append(keys, k)
+	}
+	slices.SortFunc(keys, compareSSBKeys)
+	for _, k := range keys {
+		e := r.ssb[k]
 		st.SSB = append(st.SSB, SSBState{
 			PID: k.pid, CID: k.cid, Offset: k.offset,
 			SN: int64(e.sn), Preds: append([]relog.ChunkRef(nil), e.preds...),
 		})
 	}
-	sort.Slice(st.SSB, func(i, j int) bool {
-		a, b := st.SSB[i], st.SSB[j]
-		if a.PID != b.PID {
-			return a.PID < b.PID
-		}
-		if a.CID != b.CID {
-			return a.CID < b.CID
-		}
-		return a.Offset < b.Offset
-	})
-	for addr, v := range r.mem {
-		st.Mem = append(st.Mem, MemState{Addr: uint64(addr), Val: v})
-	}
-	sort.Slice(st.Mem, func(i, j int) bool { return st.Mem[i].Addr < st.Mem[j].Addr })
 	if r.profStats != nil {
 		st.Prof = r.profStats.Snapshot()
 	}
@@ -188,12 +178,14 @@ func (s *Stepper) RestoreState(st *State) error {
 	s.roundOpen = st.RoundOpen
 	r.rng.SetState(st.RNG)
 	copy(r.cursor, st.Cursor)
+	for pid := range r.pos {
+		r.pos[pid] = r.walkStart(pid)
+	}
 	for i, c := range st.CoreClock {
 		r.coreClock[i] = sim.Cycle(c)
 	}
-	r.chunkEnd = make(map[relog.ChunkRef]sim.Cycle, len(st.ChunkEnd))
 	for _, ce := range st.ChunkEnd {
-		r.chunkEnd[relog.ChunkRef{PID: ce.PID, CID: ce.CID}] = sim.Cycle(ce.End)
+		r.chunkEnd[ce.PID][ce.CID] = sim.Cycle(ce.End)
 	}
 	r.ssb = make(map[ssbKey]ssbEntry, len(st.SSB))
 	for _, e := range st.SSB {
@@ -202,9 +194,9 @@ func (s *Stepper) RestoreState(st *State) error {
 			op: op, sn: SN(e.SN), preds: append([]relog.ChunkRef(nil), e.Preds...),
 		}
 	}
-	r.mem = make(map[coherence.Addr]uint64, len(st.Mem))
+	r.mem.clear()
 	for _, m := range st.Mem {
-		r.mem[coherence.Addr(m.Addr)] = m.Val
+		r.mem.set(coherence.Addr(m.Addr), m.Val)
 	}
 	r.res = cloneResult(st.Result)
 	if st.Prof != nil {
@@ -266,12 +258,90 @@ func (s *Stepper) checkState(st *State) error {
 	if st.ScanK < 0 || st.ScanK > cores {
 		return badState("scan position %d outside [0,%d]", st.ScanK, cores)
 	}
-	for _, e := range st.SSB {
-		if _, ok := s.Op(e.PID, SN(e.SN)); !ok {
-			return badState("SSB entry core %d sn %d outside workload", e.PID, e.SN)
+	if len(st.ChunkEnd) != int(st.Steps) {
+		return badState("%d chunk_end entries for %d executed chunks", len(st.ChunkEnd), st.Steps)
+	}
+	for i, ce := range st.ChunkEnd {
+		if ce.PID < 0 || ce.PID >= cores || ce.CID < 0 || ce.CID >= int64(st.Cursor[ce.PID]) {
+			return badState("chunk_end entry %d/%d is not an executed chunk", ce.PID, ce.CID)
+		}
+		if i > 0 {
+			prev := st.ChunkEnd[i-1]
+			if cmp.Or(cmp.Compare(prev.PID, ce.PID), cmp.Compare(prev.CID, ce.CID)) >= 0 {
+				return badState("chunk_end entry %d/%d out of (pid, cid) order or repeated", ce.PID, ce.CID)
+			}
+		}
+	}
+	for i, e := range st.SSB {
+		if e.PID < 0 || e.PID >= cores || e.CID < 0 || e.CID >= int64(st.Cursor[e.PID]) {
+			return badState("SSB entry %d/%d is not in an executed chunk", e.PID, e.CID)
+		}
+		c := r.log.Chunks(e.PID)[e.CID]
+		d := delayedStore(c, e.Offset)
+		if d == nil || e.SN != int64(c.StartSN)+int64(e.Offset) || !slices.Equal(e.Preds, d.Pred) {
+			return badState("SSB entry %d/%d offset %d sn %d is not a delayed store of that chunk",
+				e.PID, e.CID, e.Offset, e.SN)
+		}
+		if i > 0 {
+			prev := st.SSB[i-1]
+			if compareSSBKeys(ssbKey{prev.PID, prev.CID, prev.Offset}, ssbKey{e.PID, e.CID, e.Offset}) >= 0 {
+				return badState("SSB entry %d/%d offset %d out of order or repeated", e.PID, e.CID, e.Offset)
+			}
+		}
+	}
+	targets := r.storeTargets()
+	for _, m := range st.Mem {
+		if _, ok := slices.BinarySearch(targets, coherence.Addr(m.Addr)); !ok {
+			return badState("memory word %#x is not the target of any store op", m.Addr)
 		}
 	}
 	return nil
+}
+
+// delayedStore returns c's D_set entry for a delayed store at offset,
+// nil if there is none.
+func delayedStore(c *relog.Chunk, offset int32) *relog.DEntry {
+	for i := range c.DSet {
+		if d := &c.DSet[i]; d.Offset == offset && !d.IsLoad {
+			return d
+		}
+	}
+	return nil
+}
+
+// storeTargets returns the sorted addresses the workload's store ops
+// target, building the list on first use. Replay writes no other word,
+// so these bound the memory image.
+func (r *replayer) storeTargets() []coherence.Addr {
+	if r.storeAddrs == nil {
+		addrs := []coherence.Addr{}
+		for _, th := range r.threads {
+			for _, op := range th {
+				switch op.Kind {
+				case trace.Write, trace.Acquire, trace.Release:
+					addrs = append(addrs, op.Addr)
+				}
+			}
+		}
+		slices.Sort(addrs)
+		r.storeAddrs = slices.Compact(addrs)
+	}
+	return r.storeAddrs
+}
+
+// walkStart returns the index in core pid's thread just past the last
+// memory op of the chunks below its cursor: the SNs of a core's chunks
+// tile 1..n, so that op is the one with the last such chunk's EndSN.
+func (r *replayer) walkStart(pid int) int {
+	n := r.cursor[pid]
+	if n == 0 {
+		return 0
+	}
+	last := r.log.Chunks(pid)[n-1].EndSN
+	if last == 0 {
+		return 0
+	}
+	return r.opIndex()[pid][last-1] + 1
 }
 
 // cloneResult deep-copies a Result so captured states stay immutable as

@@ -65,7 +65,8 @@ type Stepper struct {
 }
 
 // NewStepper validates the log and builds a stepping replayer over it.
-// The arguments and checks are the same as RunWithMemory's.
+// The arguments and checks are the same as RunWithMemory's. The stepper
+// reads w's threads in place, so w must not change while it is in use.
 func NewStepper(log *relog.Log, w *trace.Workload, expected [][]cpu.ExecRecord, cfg Config) (*Stepper, error) {
 	if err := relog.Validate(log); err != nil {
 		return nil, fmt.Errorf("replay: rejecting log: %w", err)
@@ -78,13 +79,36 @@ func NewStepper(log *relog.Log, w *trace.Workload, expected [][]cpu.ExecRecord, 
 		return nil, fmt.Errorf("replay: recorded outcomes cover %d cores, log has %d",
 			len(expected), log.Cores)
 	}
+	// One counting pass: memory ops per core must match the log's SN
+	// range, and the store ops bound the memory image's size.
+	stores := 0
+	for pid, th := range w.Threads {
+		n := 0
+		for _, op := range th {
+			switch op.Kind {
+			case trace.Read:
+				n++
+			case trace.Write, trace.Acquire, trace.Release:
+				n++
+				stores++
+			}
+		}
+		if chunks := log.Chunks(pid); len(chunks) > 0 {
+			if last := chunks[len(chunks)-1]; int(last.EndSN) != n {
+				return nil, fmt.Errorf("replay: core %d log covers SN 1..%d but workload has %d memory ops",
+					pid, last.EndSN, n)
+			}
+		}
+	}
 	r := &replayer{
 		cfg:       cfg,
 		log:       log,
+		threads:   w.Threads,
 		expected:  expected,
-		mem:       make(map[coherence.Addr]uint64),
+		mem:       newMemImage(stores),
 		cursor:    make([]int, log.Cores),
-		chunkEnd:  make(map[relog.ChunkRef]sim.Cycle),
+		pos:       make([]int, log.Cores),
+		chunkEnd:  make([][]sim.Cycle, log.Cores),
 		ssb:       make(map[ssbKey]ssbEntry),
 		coreClock: make([]sim.Cycle, log.Cores),
 		res:       &Result{},
@@ -108,23 +132,13 @@ func NewStepper(log *relog.Log, w *trace.Workload, expected [][]cpu.ExecRecord, 
 	if cfg.Mesh.Nodes == 0 {
 		r.cfg.Mesh = noc.DefaultConfig(log.Cores)
 	}
-	r.mesh = noc.New(sim.NewEngine(), r.cfg.Mesh, nil)
-	for pid, th := range w.Threads {
-		var ops []trace.Op
-		for _, op := range th {
-			switch op.Kind {
-			case trace.Read, trace.Write, trace.Acquire, trace.Release:
-				ops = append(ops, op)
-			}
-		}
-		r.memOps = append(r.memOps, ops)
-		if chunks := log.Chunks(pid); len(chunks) > 0 {
-			last := chunks[len(chunks)-1]
-			if int(last.EndSN) != len(ops) {
-				return nil, fmt.Errorf("replay: core %d log covers SN 1..%d but workload has %d memory ops",
-					pid, last.EndSN, len(ops))
-			}
-		}
+	// Replay uses the mesh for latency arithmetic only; it sends nothing,
+	// so it needs no event engine.
+	r.mesh = noc.New(nil, r.cfg.Mesh, nil)
+	ends := make([]sim.Cycle, log.TotalChunks())
+	for pid := range r.chunkEnd {
+		n := len(log.Chunks(pid))
+		r.chunkEnd[pid], ends = ends[:n:n], ends[n:]
 	}
 	return &Stepper{r: r, remaining: log.TotalChunks()}, nil
 }
@@ -173,13 +187,6 @@ func (s *Stepper) Step() (StepInfo, bool) {
 		// Stuck: the recorded DAG cannot be satisfied (e.g. Karma log of
 		// an execution with SCVs). Break the order deterministically at
 		// the smallest-timestamp stalled chunk.
-		if DebugStuck != nil {
-			done := make(map[relog.ChunkRef]bool, len(r.chunkEnd))
-			for ref := range r.chunkEnd {
-				done[ref] = true
-			}
-			DebugStuck(r.log, r.cursor, done, r.ssbView())
-		}
 		var victim *relog.Chunk
 		for pid := 0; pid < r.log.Cores; pid++ {
 			if r.cursor[pid] >= len(r.log.Chunks(pid)) {
@@ -220,7 +227,7 @@ func (s *Stepper) executed(c *relog.Chunk, forced bool) StepInfo {
 // the attribution report is decoded. Idempotent; Step returns false
 // afterwards. It may be called early (with chunks remaining) to
 // finalize a partial replay's Result.
-func (s *Stepper) Finish() (*Result, FinalMemory) {
+func (s *Stepper) Finish() *Result {
 	r := s.r
 	if !s.finished {
 		s.finished = true
@@ -235,7 +242,17 @@ func (s *Stepper) Finish() (*Result, FinalMemory) {
 	if r.profStats != nil {
 		r.res.Prof = prof.FromStats(r.profStats)
 	}
-	return r.res, FinalMemory(r.mem)
+	return r.res
+}
+
+// Memory returns a copy of the current replayed memory image: every word
+// stored to so far.
+func (s *Stepper) Memory() FinalMemory {
+	out := make(FinalMemory, len(s.r.mem.words))
+	for _, w := range s.r.mem.words {
+		out[w.addr] = w.val
+	}
+	return out
 }
 
 // Finished reports whether Finish has run.
@@ -272,15 +289,36 @@ func (s *Stepper) Cursor(pid int) int { return s.r.cursor[pid] }
 
 // MemValue returns the current replayed value at addr (zero if the
 // address was never stored to).
-func (s *Stepper) MemValue(addr coherence.Addr) uint64 { return s.r.mem[addr] }
+func (s *Stepper) MemValue(addr coherence.Addr) uint64 { return s.r.mem.get(addr) }
 
 // Op returns core pid's memory operation with serial number sn
 // (1-based), ok=false when out of range.
 func (s *Stepper) Op(pid int, sn SN) (trace.Op, bool) {
-	if pid < 0 || pid >= len(s.r.memOps) || sn < 1 || int64(sn) > int64(len(s.r.memOps[pid])) {
+	r := s.r
+	if pid < 0 || pid >= len(r.threads) || sn < 1 {
 		return trace.Op{}, false
 	}
-	return s.r.memOps[pid][sn-1], true
+	idx := r.opIndex()[pid]
+	if int64(sn) > int64(len(idx)) {
+		return trace.Op{}, false
+	}
+	return r.threads[pid][idx[sn-1]], true
+}
+
+// opIndex returns the per-core SN-to-thread-index table, building it on
+// first use.
+func (r *replayer) opIndex() [][]int {
+	if r.opIdx == nil {
+		r.opIdx = make([][]int, len(r.threads))
+		for pid, th := range r.threads {
+			for i, op := range th {
+				if isMemOp(op.Kind) {
+					r.opIdx[pid] = append(r.opIdx[pid], i)
+				}
+			}
+		}
+	}
+	return r.opIdx
 }
 
 // Result returns the live result accumulated so far. Callers must treat

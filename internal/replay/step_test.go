@@ -105,7 +105,7 @@ func TestStepperMatchesBatch(t *testing.T) {
 	if int(lastPos) != l.TotalChunks() {
 		t.Fatalf("stepped %d chunks, log has %d", lastPos, l.TotalChunks())
 	}
-	sres, smem := st.Finish()
+	sres, smem := st.Finish(), st.Memory()
 	if sres.ChunksReplayed != res.ChunksReplayed || sres.OpsReplayed != res.OpsReplayed ||
 		sres.Makespan != res.Makespan || sres.StallCycles != res.StallCycles {
 		t.Fatalf("stepped result %+v != batch %+v", sres, res)
@@ -203,6 +203,55 @@ func TestStateRewindSameStepper(t *testing.T) {
 	}
 	if got := finalFingerprint(t, st); !bytes.Equal(got, golden) {
 		t.Fatalf("replay after rewind diverged from first pass")
+	}
+}
+
+// paddedWorkload is synthWorkload with non-memory ops around every
+// memory op. They carry no SN, so replay must not see them.
+func paddedWorkload() *trace.Workload {
+	w := synthWorkload()
+	for pid, th := range w.Threads {
+		var out trace.Thread
+		for i, op := range th {
+			out = append(out, trace.Op{Kind: trace.Compute, Cycles: i + 1}, op)
+			if i%2 == 1 {
+				out = append(out, trace.Op{Kind: trace.Barrier, ID: i})
+			}
+		}
+		w.Threads[pid] = append(out, trace.Op{Kind: trace.Compute, Cycles: 9})
+	}
+	return w
+}
+
+// TestPaddedWorkloadReplaysIdentically: each core's ops are read by
+// walking its thread in place, and a restored stepper resumes that walk
+// from its cursors. Interrupting a replay of the padded workload at any
+// position and restoring it into a fresh stepper must finish exactly
+// like an uninterrupted replay of the unpadded one.
+func TestPaddedWorkloadReplaysIdentically(t *testing.T) {
+	l := synthLog()
+	golden := finalFingerprint(t, mustStepper(t, l, synthWorkload(), synthConfig()))
+	for k := 0; k <= l.TotalChunks(); k++ {
+		st := mustStepper(t, l, paddedWorkload(), synthConfig())
+		for i := 0; i < k; i++ {
+			st.Step()
+		}
+		fresh := mustStepper(t, l, paddedWorkload(), synthConfig())
+		if err := fresh.RestoreState(st.CaptureState()); err != nil {
+			t.Fatalf("k=%d: restore: %v", k, err)
+		}
+		if got := finalFingerprint(t, fresh); !bytes.Equal(got, golden) {
+			t.Fatalf("k=%d: padded replay diverged\n got %s\nwant %s", k, got, golden)
+		}
+	}
+	plain, padded := mustStepper(t, l, synthWorkload(), synthConfig()), mustStepper(t, l, paddedWorkload(), synthConfig())
+	for pid := 0; pid < 4; pid++ {
+		for sn := SN(1); sn <= 6; sn++ {
+			a, _ := plain.Op(pid, sn)
+			if b, ok := padded.Op(pid, sn); !ok || a != b {
+				t.Fatalf("Op(%d, %d) = %+v on the padded workload, want %+v", pid, sn, b, a)
+			}
+		}
 	}
 }
 
