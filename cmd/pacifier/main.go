@@ -14,18 +14,10 @@
 //	pacifier profile -app fft -cores 16 -folded fft.folded
 //	pacifier sweep -apps fft,lu -cores 16,32 -format csv
 //	pacifier sweep -apps all -http :9090          # live /metrics + /api/fleet
-//	pacifier serve -http :9090 -apps fft,lu       # continuous soak rounds
 //	pacifier bench -o BENCH.json
-//
-// Distributed sweeps shard the same jobs across worker processes:
-//
-//	pacifier coordinator -http :9090              # job queue + control plane
-//	pacifier worker -join http://host:9090        # one per core/box
-//	pacifier sweep -distributed http://host:9090 -apps all
 package main
 
 import (
-	"context"
 	"encoding/json"
 	"errors"
 	"flag"
@@ -41,7 +33,6 @@ import (
 	"testing"
 	"time"
 
-	"pacifier/internal/dist"
 	"pacifier/internal/harness"
 	"pacifier/internal/telemetry"
 	"pacifier/internal/telemetry/telhttp"
@@ -52,18 +43,6 @@ import (
 func main() {
 	if len(os.Args) > 1 && os.Args[1] == "sweep" {
 		sweep(os.Args[2:])
-		return
-	}
-	if len(os.Args) > 1 && os.Args[1] == "serve" {
-		serve(os.Args[2:])
-		return
-	}
-	if len(os.Args) > 1 && os.Args[1] == "coordinator" {
-		coordinator(os.Args[2:])
-		return
-	}
-	if len(os.Args) > 1 && os.Args[1] == "worker" {
-		workerCmd(os.Args[2:])
 		return
 	}
 	if len(os.Args) > 1 && os.Args[1] == "bench" {
@@ -513,7 +492,6 @@ func sweep(args []string) {
 		noReplay   = fs.Bool("no-replay", false, "record only, skip replay verification")
 		compress   = fs.Bool("compress", false, "also compress each mode's log and report compressed bytes + modeled record slowdown (feeds the Figure 14 Pareto table)")
 		nonatomic  = fs.Bool("nonatomic", false, "model non-atomic writes")
-		distAddr   = fs.String("distributed", "", "submit the sweep to a coordinator at this base URL instead of simulating in-process (the coordinator owns caching, tracing and parallelism; -jobs/-cache-dir/-trace-dir are ignored)")
 		jobs       = fs.Int("jobs", 0, "parallel simulation jobs (0 = GOMAXPROCS)")
 		timeout    = fs.Duration("timeout", 10*time.Minute, "per-job timeout (0 = none)")
 		cacheDir   = fs.String("cache-dir", harness.DefaultCacheDir, "result cache directory")
@@ -611,56 +589,35 @@ func sweep(args []string) {
 		fail("sweep: nothing to run (empty -apps and -litmus)")
 	}
 
-	var outcomes []harness.Outcome
-	distWorkers := 0
 	stopServe := func() {}
-	if *distAddr != "" {
-		// Thin-client mode: the coordinator owns the queue, the cache
-		// and the worker fleet; this process just submits and waits.
-		interrupt := interruptChannel(logger)
-		ctx, cancel := context.WithCancel(context.Background())
-		go func() { <-interrupt; cancel() }()
-		client := &dist.Client{Base: *distAddr, Logger: logger}
-		var derr error
-		outcomes, derr = client.Run(ctx, specs)
-		if derr != nil && !errors.Is(derr, dist.ErrSweepFailed) && ctx.Err() == nil {
-			fail("distributed sweep: %v", derr)
+	var fleet *telemetry.Fleet
+	if *httpAddr != "" {
+		fleet = telemetry.NewFleet()
+		_, _, stop, err := telhttp.Serve(*httpAddr, telemetry.Enable(), fleet, logger)
+		if err != nil {
+			fail("%v", err)
 		}
-		if st, serr := client.DistStatus(context.Background()); serr == nil {
-			distWorkers = len(st.Workers)
-		}
-		cancel()
-	} else {
-		var fleet *telemetry.Fleet
-		if *httpAddr != "" {
-			fleet = telemetry.NewFleet()
-			_, _, stop, err := telhttp.Serve(*httpAddr, telemetry.Enable(), fleet, logger)
-			if err != nil {
-				fail("%v", err)
-			}
-			stopServe = stop
-		}
-
-		opts := harness.Options{Workers: *jobs, Timeout: *timeout, Logger: logger,
-			Fleet: fleet, Interrupt: interruptChannel(logger)}
-		if *traceDir != "" {
-			if err := os.MkdirAll(*traceDir, 0o755); err != nil {
-				fail("%v", err)
-			}
-			opts.TraceDir = *traceDir
-		}
-		if !*noCache {
-			cache, err := harness.OpenCache(*cacheDir)
-			if err != nil {
-				fail("%v", err)
-			}
-			opts.Cache = cache
-		}
-
-		outcomes = harness.Run(specs, opts)
+		stopServe = stop
 	}
+
+	opts := harness.Options{Workers: *jobs, Timeout: *timeout, Logger: logger,
+		Fleet: fleet, Interrupt: interruptChannel(logger)}
+	if *traceDir != "" {
+		if err := os.MkdirAll(*traceDir, 0o755); err != nil {
+			fail("%v", err)
+		}
+		opts.TraceDir = *traceDir
+	}
+	if !*noCache {
+		cache, err := harness.OpenCache(*cacheDir)
+		if err != nil {
+			fail("%v", err)
+		}
+		opts.Cache = cache
+	}
+
+	outcomes := harness.Run(specs, opts)
 	sum := harness.Summarize(outcomes)
-	sum.DistWorkers = distWorkers
 	for _, o := range harness.Errs(outcomes) {
 		if errors.Is(o.Err, harness.ErrInterrupted) {
 			continue
@@ -715,222 +672,6 @@ func sweep(args []string) {
 	if len(harness.Errs(outcomes)) > 0 {
 		exit(1)
 	}
-}
-
-// serve runs continuous soak rounds of a small sweep while exposing the
-// live telemetry surface — the standing-service mode of the CLI, useful
-// for watching /metrics and /api/fleet/stream against real load, or as a
-// scrape target while tuning dashboards. Each round bumps the seed so
-// the result cache cannot turn later rounds into no-ops.
-func serve(args []string) {
-	fs := flag.NewFlagSet("pacifier serve", flag.ExitOnError)
-	var (
-		httpAddr  = fs.String("http", ":9090", "address to serve telemetry on")
-		appsArg   = fs.String("apps", "fft,lu", `applications to cycle ("all" or a comma list)`)
-		coreArg   = fs.String("cores", "16", "machine sizes (comma list)")
-		ops       = fs.Int("ops", 2000, "memory operations per thread (>= 1)")
-		seed      = fs.Uint64("seed", 1, "base simulation seed (>= 1); round r uses seed+r")
-		modesArg  = fs.String("modes", "karma,vol,gra", "recorder modes, co-recorded per job")
-		jobs      = fs.Int("jobs", 0, "parallel simulation jobs (0 = GOMAXPROCS)")
-		timeout   = fs.Duration("timeout", 10*time.Minute, "per-job timeout (0 = none)")
-		rounds    = fs.Int("rounds", 0, "sweep rounds to run (0 = until interrupted)")
-		interval  = fs.Duration("interval", 2*time.Second, "pause between rounds")
-		logFormat = fs.String("log-format", "text", "log output format: text, json")
-		logLevel  = fs.String("log-level", "info", "log level: debug, info, warn, error")
-	)
-	fs.Parse(args)
-
-	logger, err := telemetry.NewLogger(os.Stderr, *logFormat, *logLevel)
-	if err != nil {
-		fail("%v", err)
-	}
-	if *ops < 1 {
-		fail("bad -ops %d: need at least 1 memory operation per thread", *ops)
-	}
-	if *seed == 0 {
-		fail("bad -seed 0: the seed drives every random choice and must be >= 1")
-	}
-	var modes []string
-	for _, m := range strings.Split(*modesArg, ",") {
-		m = strings.TrimSpace(m)
-		if _, err := pacifier.ParseMode(m); err != nil {
-			fail("%v", err)
-		}
-		modes = append(modes, m)
-	}
-	apps := pacifier.Apps()
-	if *appsArg != "all" {
-		apps = nil
-		for _, a := range strings.Split(*appsArg, ",") {
-			a = strings.TrimSpace(a)
-			if _, err := pacifier.App(a, 2, 1, 1); err != nil {
-				fail("%v", err)
-			}
-			apps = append(apps, a)
-		}
-	}
-	var cores []int
-	for _, s := range strings.Split(*coreArg, ",") {
-		n, err := strconv.Atoi(strings.TrimSpace(s))
-		if err != nil || n < 2 || n > 64 {
-			fail("bad -cores entry %q", s)
-		}
-		cores = append(cores, n)
-	}
-
-	fleet := telemetry.NewFleet()
-	_, _, stopServe, err := telhttp.Serve(*httpAddr, telemetry.Enable(), fleet, logger)
-	if err != nil {
-		fail("%v", err)
-	}
-	defer stopServe()
-	interrupt := interruptChannel(logger)
-
-	for round := 0; *rounds == 0 || round < *rounds; round++ {
-		select {
-		case <-interrupt:
-			logger.Info("serve stopped", "rounds_completed", round)
-			return
-		default:
-		}
-		var specs []harness.JobSpec
-		for _, a := range apps {
-			for _, n := range cores {
-				specs = append(specs, harness.JobSpec{
-					Kind: "app", Name: a, Cores: n, Ops: *ops,
-					Seed: *seed + uint64(round), Atomic: true,
-					Modes: modes, Replay: true,
-					// Soak rounds profile so the live /metrics surface
-					// carries the pacifier_prof_cycles_total family.
-					ProfileCycles: true,
-				})
-			}
-		}
-		outcomes := harness.Run(specs, harness.Options{
-			Workers: *jobs, Timeout: *timeout,
-			Logger: logger, Fleet: fleet, Interrupt: interrupt,
-		})
-		sum := harness.Summarize(outcomes)
-		logger.Info("soak round complete", "round", round, "summary", sum.String())
-		if sum.Interrupted > 0 {
-			return
-		}
-		select {
-		case <-interrupt:
-			logger.Info("serve stopped", "rounds_completed", round+1)
-			return
-		case <-time.After(*interval):
-		}
-	}
-}
-
-// coordinator runs the distributed sweep coordinator: it owns the job
-// queue and the shared result store, serves the /api/dist/ job API to
-// workers and sweep clients, and exposes the whole control plane
-// (/metrics, /api/fleet with per-worker dist state, /readyz gated on
-// live workers) on one address. It runs until interrupted.
-func coordinator(args []string) {
-	fs := flag.NewFlagSet("pacifier coordinator", flag.ExitOnError)
-	var (
-		httpAddr    = fs.String("http", ":9090", "address to serve the coordinator API and telemetry on")
-		cacheDir    = fs.String("cache-dir", harness.DefaultCacheDir, "shared content-addressed result store")
-		leaseTTL    = fs.Duration("lease-ttl", dist.DefaultLeaseTTL*time.Second, "job lease lifetime without a heartbeat renewal")
-		maxAttempts = fs.Int("max-attempts", dist.DefaultMaxAttempts, "lease grants per job before it fails terminally")
-		logFormat   = fs.String("log-format", "text", "log output format: text, json")
-		logLevel    = fs.String("log-level", "info", "log level: debug, info, warn, error")
-	)
-	fs.Parse(args)
-
-	logger, err := telemetry.NewLogger(os.Stderr, *logFormat, *logLevel)
-	if err != nil {
-		fail("%v", err)
-	}
-	cache, err := harness.OpenCache(*cacheDir)
-	if err != nil {
-		fail("%v", err)
-	}
-	fleet := telemetry.NewFleet()
-	coord := dist.NewCoordinator(dist.CoordinatorOptions{
-		Cache:       cache,
-		Fleet:       fleet,
-		LeaseTTL:    *leaseTTL,
-		MaxAttempts: *maxAttempts,
-		Logger:      logger,
-	})
-
-	srv := telhttp.NewServer(telemetry.Enable(), fleet)
-	srv.Handle("/api/dist/", coord.Handler())
-	srv.SetDist(coord.DistSnapshot)
-	// A coordinator with no live workers cannot make progress: report
-	// not-ready so load balancers and scripts wait for the fleet.
-	srv.SetReadyCheck(func() bool { return coord.LiveWorkers() > 0 })
-	addr, stop, err := srv.Start(*httpAddr, logger)
-	if err != nil {
-		fail("%v", err)
-	}
-	logger.Info("coordinator up",
-		"addr", addr.String(), "cache", cache.Dir(),
-		"lease_ttl", leaseTTL.String(), "max_attempts", *maxAttempts,
-		"join", "pacifier worker -join http://"+addr.String())
-
-	<-interruptChannel(logger)
-	stop()
-	logger.Info("coordinator stopped")
-}
-
-// workerCmd runs one sweep worker: it joins a coordinator and
-// executes leased jobs through the harness runner until interrupted.
-// Scale out by running more worker processes (on this host or any
-// other that can reach the coordinator).
-func workerCmd(args []string) {
-	fs := flag.NewFlagSet("pacifier worker", flag.ExitOnError)
-	var (
-		join      = fs.String("join", "", "coordinator base URL (e.g. http://10.0.0.1:9090); required")
-		name      = fs.String("name", "", "worker name in the fleet view (default host:pid)")
-		cacheDir  = fs.String("cache-dir", harness.DefaultCacheDir, "local result cache directory")
-		noCache   = fs.Bool("no-cache", false, "disable the local result cache")
-		timeout   = fs.Duration("timeout", 10*time.Minute, "per-job timeout (0 = none)")
-		poll      = fs.Duration("poll", 250*time.Millisecond, "idle poll interval")
-		logFormat = fs.String("log-format", "text", "log output format: text, json")
-		logLevel  = fs.String("log-level", "info", "log level: debug, info, warn, error")
-	)
-	fs.Parse(args)
-
-	logger, err := telemetry.NewLogger(os.Stderr, *logFormat, *logLevel)
-	if err != nil {
-		fail("%v", err)
-	}
-	if *join == "" {
-		fail("worker: -join <coordinator url> is required")
-	}
-	if *name == "" {
-		host, _ := os.Hostname()
-		*name = fmt.Sprintf("%s:%d", host, os.Getpid())
-	}
-	opts := dist.WorkerOptions{
-		Coordinator: *join,
-		Name:        *name,
-		Timeout:     *timeout,
-		Poll:        *poll,
-		Logger:      logger,
-	}
-	if !*noCache {
-		cache, err := harness.OpenCache(*cacheDir)
-		if err != nil {
-			fail("%v", err)
-		}
-		opts.Cache = cache
-	}
-
-	ctx, cancel := context.WithCancel(context.Background())
-	go func() {
-		<-interruptChannel(logger)
-		cancel()
-	}()
-	if err := dist.RunWorker(ctx, opts); err != nil && !errors.Is(err, context.Canceled) {
-		fail("worker: %v", err)
-	}
-	logger.Info("worker stopped")
 }
 
 // verifyReport is `pacifier verify -json`'s output schema. It shares

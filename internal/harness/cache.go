@@ -6,7 +6,6 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
-	"sync"
 )
 
 // DefaultCacheDir is where the CLIs keep results between invocations.
@@ -21,16 +20,7 @@ const DefaultCacheDir = ".pacifier-cache"
 // that.
 type Cache struct {
 	dir string
-
-	// hits/misses are updated by Get (under mu — Get runs on every
-	// worker) for the CLIs' summary lines.
-	mu     sync.Mutex
-	hits   int64
-	misses int64
 }
-
-func (c *Cache) hit()  { c.mu.Lock(); c.hits++; c.mu.Unlock() }
-func (c *Cache) miss() { c.mu.Lock(); c.misses++; c.mu.Unlock() }
 
 // cacheEntry is the on-disk envelope.
 type cacheEntry struct {
@@ -47,9 +37,6 @@ func OpenCache(dir string) (*Cache, error) {
 	return &Cache{dir: dir}, nil
 }
 
-// Dir returns the cache's root directory.
-func (c *Cache) Dir() string { return c.dir }
-
 func (c *Cache) path(hash string) string {
 	return filepath.Join(c.dir, hash+".json")
 }
@@ -60,17 +47,14 @@ func (c *Cache) path(hash string) string {
 func (c *Cache) Get(hash string) (*Result, bool) {
 	blob, err := os.ReadFile(c.path(hash))
 	if err != nil {
-		c.miss()
 		return nil, false
 	}
 	var e cacheEntry
 	if json.Unmarshal(blob, &e) != nil ||
 		e.Version != cacheVersion || e.SpecHash != hash ||
 		e.Result == nil || e.Result.SpecHash != hash {
-		c.miss()
 		return nil, false
 	}
-	c.hit()
 	return e.Result, true
 }
 
@@ -114,12 +98,4 @@ func (c *Cache) Len() int {
 		}
 	}
 	return n
-}
-
-// Stats reports the hit/miss counts accumulated by Get since the cache
-// was opened.
-func (c *Cache) Stats() (hits, misses int64) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.hits, c.misses
 }

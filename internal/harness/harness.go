@@ -233,8 +233,8 @@ type Options struct {
 	Logger *slog.Logger
 
 	// Run overrides job execution (nil = Execute, or ExecuteTraced when
-	// TraceDir is set). Tests and the distributed worker's fault
-	// injection hook use it; everything else should leave it nil.
+	// TraceDir is set). Tests and the perfbench harness use it to
+	// substitute or wrap jobs; everything else should leave it nil.
 	Run func(JobSpec) (*Result, error)
 }
 
@@ -437,10 +437,6 @@ type Summary struct {
 	// defined as 0 — never NaN — when the sweep was interrupted before
 	// any job completed, so the JSONL summary record stays valid JSON.
 	CacheHitRate float64 `json:"cache_hit_rate"`
-	// DistWorkers is the number of worker processes a distributed
-	// sweep ran across (0 for single-process sweeps; set by the CLI
-	// from the coordinator's status).
-	DistWorkers int `json:"dist_workers,omitempty"`
 }
 
 // Summarize reduces a sweep's outcomes to its Summary. Interrupted jobs
@@ -478,9 +474,6 @@ func (s Summary) String() string {
 		s.Total, s.Succeeded, s.Failed, s.CacheHits, s.CacheMisses)
 	if s.Interrupted > 0 {
 		line += fmt.Sprintf(", %d interrupted", s.Interrupted)
-	}
-	if s.DistWorkers > 0 {
-		line += fmt.Sprintf(", %d workers", s.DistWorkers)
 	}
 	return line
 }

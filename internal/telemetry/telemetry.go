@@ -3,7 +3,7 @@
 // atomic counters, gauges and log2 histograms, a Prometheus text
 // exposition (0.0.4) writer with a matching linter, a fleet-progress
 // tracker with an SSE change feed, and an embeddable HTTP introspection
-// server (/metrics, /healthz, /readyz, /api/fleet, /debug/pprof/).
+// server (/metrics, /healthz, /api/fleet, /api/debug, /debug/pprof/).
 //
 // Where internal/sim.Stats is the *deterministic, per-run* registry
 // (snapshotted into results, byte-identical across runs), telemetry is

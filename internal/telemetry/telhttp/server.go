@@ -14,7 +14,6 @@ import (
 	"net/http/pprof"
 	"runtime"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"pacifier/internal/telemetry"
@@ -24,7 +23,6 @@ import (
 //
 //	/metrics            Prometheus text exposition of the registry
 //	/healthz            liveness (200 as long as the process serves)
-//	/readyz             readiness (503 until SetReady(true); default ready)
 //	/api/fleet          JSON snapshot of harness job states
 //	/api/fleet/stream   the same, as an SSE feed of state transitions
 //	/api/debug          JSON state of an attached debug session (404 until SetDebug)
@@ -37,13 +35,10 @@ type Server struct {
 	mux   *http.ServeMux
 	reg   *telemetry.Registry
 	fleet *telemetry.Fleet
-	ready atomic.Bool
 	start time.Time
 
-	mu         sync.Mutex
-	readyCheck func() bool
-	dist       func() *telemetry.DistSnapshot
-	debug      DebugSource
+	mu    sync.Mutex
+	debug DebugSource
 }
 
 // NewServer builds a server over a registry (may be nil: /metrics then
@@ -51,10 +46,8 @@ type Server struct {
 // reports an empty fleet).
 func NewServer(reg *telemetry.Registry, fleet *telemetry.Fleet) *Server {
 	s := &Server{mux: http.NewServeMux(), reg: reg, fleet: fleet, start: time.Now()}
-	s.ready.Store(true)
 	s.mux.HandleFunc("/metrics", s.handleMetrics)
 	s.mux.HandleFunc("/healthz", s.handleHealthz)
-	s.mux.HandleFunc("/readyz", s.handleReadyz)
 	s.mux.HandleFunc("/api/fleet", s.handleFleet)
 	s.mux.HandleFunc("/api/fleet/stream", s.handleFleetStream)
 	s.mux.HandleFunc("/api/debug", s.handleDebug)
@@ -65,35 +58,6 @@ func NewServer(reg *telemetry.Registry, fleet *telemetry.Fleet) *Server {
 	s.mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
 	s.mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
 	return s
-}
-
-// SetReady flips /readyz between 200 and 503.
-func (s *Server) SetReady(ready bool) { s.ready.Store(ready) }
-
-// SetReadyCheck gates /readyz on fn in addition to SetReady: the
-// server reports ready only while both agree. A distributed
-// coordinator uses this to stay not-ready until at least one live
-// worker is registered; standalone processes that never call it keep
-// the plain SetReady behaviour.
-func (s *Server) SetReadyCheck(fn func() bool) {
-	s.mu.Lock()
-	s.readyCheck = fn
-	s.mu.Unlock()
-}
-
-// SetDist attaches a distributed-coordinator status source; its
-// snapshot is merged into the /api/fleet document as the "dist" field.
-func (s *Server) SetDist(fn func() *telemetry.DistSnapshot) {
-	s.mu.Lock()
-	s.dist = fn
-	s.mu.Unlock()
-}
-
-// Handle mounts an extra handler on the introspection mux — how the
-// coordinator's /api/dist/ surface shares the telemetry server's
-// address. Call before serving.
-func (s *Server) Handle(pattern string, h http.Handler) {
-	s.mux.Handle(pattern, h)
 }
 
 // ServeHTTP dispatches to the introspection mux.
@@ -125,27 +89,8 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	fmt.Fprintln(w, "ok")
 }
 
-func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
-	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-	s.mu.Lock()
-	check := s.readyCheck
-	s.mu.Unlock()
-	if !s.ready.Load() || (check != nil && !check()) {
-		w.WriteHeader(http.StatusServiceUnavailable)
-		fmt.Fprintln(w, "not ready")
-		return
-	}
-	fmt.Fprintln(w, "ok")
-}
-
 func (s *Server) handleFleet(w http.ResponseWriter, r *http.Request) {
 	snap := s.fleet.Snapshot()
-	s.mu.Lock()
-	dist := s.dist
-	s.mu.Unlock()
-	if dist != nil {
-		snap.Dist = dist()
-	}
 	w.Header().Set("Content-Type", "application/json")
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
@@ -201,23 +146,11 @@ func (s *Server) handleFleetStream(w http.ResponseWriter, r *http.Request) {
 // logger, when non-nil, gets one line on start and one per accept
 // failure.
 func Serve(addr string, reg *telemetry.Registry, fleet *telemetry.Fleet, log *slog.Logger) (*Server, net.Addr, func(), error) {
-	s := NewServer(reg, fleet)
-	bound, stop, err := s.Start(addr, log)
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	return s, bound, stop, nil
-}
-
-// Start serves s on addr in a background goroutine and returns the
-// bound address and a shutdown function — the entry point for callers
-// that mounted extra handlers (e.g. a distributed coordinator) before
-// serving.
-func (s *Server) Start(addr string, log *slog.Logger) (net.Addr, func(), error) {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
-		return nil, nil, fmt.Errorf("telhttp: listen %s: %w", addr, err)
+		return nil, nil, nil, fmt.Errorf("telhttp: listen %s: %w", addr, err)
 	}
+	s := NewServer(reg, fleet)
 	hs := &http.Server{Handler: s, ReadHeaderTimeout: 10 * time.Second}
 	go func() {
 		if err := hs.Serve(ln); err != nil && err != http.ErrServerClosed && log != nil {
@@ -227,8 +160,8 @@ func (s *Server) Start(addr string, log *slog.Logger) (net.Addr, func(), error) 
 	if log != nil {
 		log.Info("telemetry server listening",
 			"addr", ln.Addr().String(),
-			"endpoints", "/metrics /healthz /readyz /api/fleet /api/fleet/stream /debug/pprof/")
+			"endpoints", "/metrics /healthz /api/fleet /api/fleet/stream /api/debug /api/debug/stream /debug/pprof/")
 	}
 	stop := func() { _ = hs.Close() }
-	return ln.Addr(), stop, nil
+	return s, ln.Addr(), stop, nil
 }

@@ -40,23 +40,15 @@ func get(t *testing.T, url string) (*http.Response, string) {
 	return resp, string(body)
 }
 
-// TestHealthAndReadyEndpoints: /healthz is always 200; /readyz follows
-// SetReady.
+// TestHealthAndReadyEndpoints: /healthz is always 200; /readyz is not
+// routed, since no process the server runs in can be not-ready.
 func TestHealthAndReadyEndpoints(t *testing.T) {
-	s, _, _, ts := newTestServer(t)
+	_, _, _, ts := newTestServer(t)
 	if resp, body := get(t, ts.URL+"/healthz"); resp.StatusCode != 200 || !strings.Contains(body, "ok") {
 		t.Errorf("/healthz: %d %q", resp.StatusCode, body)
 	}
-	if resp, _ := get(t, ts.URL+"/readyz"); resp.StatusCode != 200 {
-		t.Errorf("/readyz default: %d, want 200", resp.StatusCode)
-	}
-	s.SetReady(false)
-	if resp, _ := get(t, ts.URL+"/readyz"); resp.StatusCode != http.StatusServiceUnavailable {
-		t.Errorf("/readyz after SetReady(false): %d, want 503", resp.StatusCode)
-	}
-	s.SetReady(true)
-	if resp, _ := get(t, ts.URL+"/readyz"); resp.StatusCode != 200 {
-		t.Errorf("/readyz after SetReady(true): %d, want 200", resp.StatusCode)
+	if resp, _ := get(t, ts.URL+"/readyz"); resp.StatusCode != http.StatusNotFound {
+		t.Errorf("/readyz: %d, want 404 (not routed)", resp.StatusCode)
 	}
 }
 

@@ -280,11 +280,18 @@ type LogStats = relog.Stats
 // App generates one of the ten SPLASH-2-like workloads ("barnes",
 // "cholesky", "fft", "fmm", "lu", "ocean", "radiosity", "radix",
 // "raytrace", "water-nsq") with nThreads threads of about opsPerThread
-// memory operations, deterministically from seed.
+// memory operations, deterministically from seed. Both counts must be
+// at least 1; anything else is an error, not a panic.
 func App(name string, nThreads, opsPerThread int, seed uint64) (*Workload, error) {
 	p, err := trace.ProfileByName(name)
 	if err != nil {
 		return nil, err
+	}
+	if nThreads < 1 {
+		return nil, fmt.Errorf("app %s: need at least 1 thread, got %d", name, nThreads)
+	}
+	if opsPerThread < 1 {
+		return nil, fmt.Errorf("app %s: need at least 1 memory operation per thread, got %d", name, opsPerThread)
 	}
 	return p.Generate(nThreads, opsPerThread, seed), nil
 }

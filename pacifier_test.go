@@ -17,6 +17,31 @@ func TestAppGeneration(t *testing.T) {
 	}
 }
 
+// TestAppRejectsBadCounts: thread and op counts below 1 are errors
+// returned before generation, never panics.
+func TestAppRejectsBadCounts(t *testing.T) {
+	for _, tc := range []struct {
+		name       string
+		cores, ops int
+	}{
+		{"zero cores", 0, 100},
+		{"negative cores", -3, 100},
+		{"zero ops", 4, 0},
+		{"negative ops", 4, -1},
+		{"both zero", 0, 0},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			w, err := App("fft", tc.cores, tc.ops, 1)
+			if err == nil {
+				t.Fatalf("App(fft, %d, %d) = %v, want an error", tc.cores, tc.ops, w)
+			}
+		})
+	}
+	if _, err := App("fft", 1, 1, 1); err != nil {
+		t.Fatalf("smallest valid workload rejected: %v", err)
+	}
+}
+
 func TestLitmusLookup(t *testing.T) {
 	for _, name := range []string{"sb", "mp", "wrc", "iriw", "mp-fenced"} {
 		if _, err := Litmus(name); err != nil {
