@@ -1,6 +1,9 @@
 package sim
 
-import "testing"
+import (
+	"fmt"
+	"testing"
+)
 
 func TestEngineEventOrderByTime(t *testing.T) {
 	e := NewEngine()
@@ -81,9 +84,10 @@ type countStepper struct {
 	cycle []Cycle
 }
 
-func (c *countStepper) Step(now Cycle) {
+func (c *countStepper) Step(now Cycle) Cycle {
 	c.n++
 	c.cycle = append(c.cycle, now)
+	return now + 1
 }
 
 func TestEngineSteppersRunEveryCycle(t *testing.T) {
@@ -114,9 +118,10 @@ func TestEngineSteppersBeforeEvents(t *testing.T) {
 	}
 }
 
+// stepFunc is a stepper that asks to run every cycle.
 type stepFunc func(Cycle)
 
-func (f stepFunc) Step(now Cycle) { f(now) }
+func (f stepFunc) Step(now Cycle) Cycle { f(now); return now + 1 }
 
 func TestEngineStepperSchedulesCurrentCycle(t *testing.T) {
 	// An event posted with zero delay from inside a Step must run at the
@@ -229,6 +234,110 @@ func TestEngineFarEventsDeepBeyondHorizon(t *testing.T) {
 	}
 	if e.Pending() != 0 {
 		t.Fatalf("Pending = %d after drain", e.Pending())
+	}
+}
+
+// sleeper is a stepper that logs each Step and then sleeps until the
+// cycle its plan function names.
+type sleeper struct {
+	name string
+	log  *[]string
+	plan func(now Cycle) Cycle
+}
+
+func (s *sleeper) Step(now Cycle) Cycle {
+	*s.log = append(*s.log, fmt.Sprintf("%d:%s", now, s.name))
+	return s.plan(now)
+}
+
+func TestEngineNeverSteppedUntilWoken(t *testing.T) {
+	e := NewEngine()
+	var log []string
+	i := e.Register(&sleeper{name: "s", log: &log, plan: func(Cycle) Cycle { return Never }})
+	for e.Now() < 10 {
+		e.Tick()
+	}
+	if len(log) != 1 || log[0] != "0:s" {
+		t.Fatalf("steps %v, want only the first at cycle 0", log)
+	}
+	e.After(5, func() { e.Wake(i) }) // fires in cycle 15
+	for e.Now() < 30 {
+		e.Tick()
+	}
+	if len(log) != 2 || log[1] != "16:s" {
+		t.Fatalf("steps %v, want a second at cycle 16, after the waking event", log)
+	}
+}
+
+func TestEngineWakeOrderAcrossSteppers(t *testing.T) {
+	e := NewEngine()
+	var log []string
+	var first, last int
+	never := func(Cycle) Cycle { return Never }
+	first = e.Register(&sleeper{name: "first", log: &log, plan: never})
+	e.Register(&sleeper{name: "mid", log: &log, plan: func(now Cycle) Cycle {
+		if now == 3 {
+			e.Wake(first) // registered earlier: runs next cycle
+			e.Wake(last)  // registered later: runs this cycle
+		}
+		return now + 3
+	}})
+	last = e.Register(&sleeper{name: "last", log: &log, plan: never})
+	for e.Now() < 5 {
+		e.Tick()
+	}
+	want := []string{"0:first", "0:mid", "0:last", "3:mid", "3:last", "4:first"}
+	if fmt.Sprint(log) != fmt.Sprint(want) {
+		t.Fatalf("steps %v, want %v", log, want)
+	}
+}
+
+func TestRunUntilJumpsIdleGapsToTheSameEnd(t *testing.T) {
+	// The same scenario, run by RunUntil (which jumps idle cycles) and
+	// by a loop that ticks every cycle, must step and fire at the same
+	// cycles and stop at the same Now().
+	build := func() (*Engine, *[]string, func() bool) {
+		e := NewEngine()
+		log := &[]string{}
+		var w int
+		w = e.Register(&sleeper{name: "a", log: log, plan: func(now Cycle) Cycle {
+			if now < 200 {
+				return now + 37 // a timer-like sleep
+			}
+			return Never
+		}})
+		e.Register(&sleeper{name: "b", log: log, plan: func(Cycle) Cycle { return Never }})
+		done := false
+		e.After(90, func() { *log = append(*log, fmt.Sprintf("%d:ev", e.Now())); e.Wake(w) })
+		e.After(3*ringSize+11, func() { *log = append(*log, fmt.Sprintf("%d:far", e.Now())); done = true })
+		return e, log, func() bool { return done }
+	}
+	jump, jlog, jdone := build()
+	if !jump.RunUntil(jdone, 1<<20) {
+		t.Fatal("RunUntil missed the far event")
+	}
+	tick, tlog, tdone := build()
+	for tick.Now() < 1<<20 && !tdone() {
+		tick.Tick()
+	}
+	if jump.Now() != tick.Now() {
+		t.Fatalf("RunUntil stopped at %d, cycle-by-cycle ticking at %d", jump.Now(), tick.Now())
+	}
+	if fmt.Sprint(*jlog) != fmt.Sprint(*tlog) {
+		t.Fatalf("RunUntil ran\n%v\ncycle-by-cycle ticking ran\n%v", *jlog, *tlog)
+	}
+}
+
+func TestRunUntilIdleReachesLimitAtOnce(t *testing.T) {
+	e := NewEngine()
+	var log []string
+	e.Register(&sleeper{name: "s", log: &log, plan: func(Cycle) Cycle { return Never }})
+	const limit = Cycle(1) << 40
+	if e.RunUntil(func() bool { return false }, limit) {
+		t.Fatal("RunUntil reported success for an unsatisfiable predicate")
+	}
+	if e.Now() != limit || len(log) != 1 {
+		t.Fatalf("clock at %d after steps %v, want %d after one", e.Now(), log, limit)
 	}
 }
 
