@@ -83,7 +83,7 @@ type home struct {
 	sys *System
 	id  noc.NodeID
 
-	ids      map[cache.Line]int32
+	ids      lineIndex
 	lines    []*homeLine
 	lineSlab []homeLine // backing store new slots are carved from
 	// One-entry slot cache (see L1.lastSlot).
@@ -107,7 +107,6 @@ func newHome(sys *System, id noc.NodeID) *home {
 	return &home{
 		sys: sys,
 		id:  id,
-		ids: make(map[cache.Line]int32),
 		l2:  cache.New(sys.cfg.L2),
 	}
 }
@@ -120,7 +119,7 @@ func (h *home) slot(l cache.Line) *homeLine {
 		return h.lastSlot
 	}
 	var s *homeLine
-	if id, ok := h.ids[l]; ok {
+	if id, ok := h.ids.get(l); ok {
 		s = h.lines[id]
 	} else {
 		if len(h.lineSlab) == 0 {
@@ -130,7 +129,7 @@ func (h *home) slot(l cache.Line) *homeLine {
 		h.lineSlab = h.lineSlab[1:]
 		s.l = l
 		s.st.owner = -1
-		h.ids[l] = int32(len(h.lines))
+		h.ids.add(l)
 		h.lines = append(h.lines, s)
 	}
 	h.lastLine, h.lastSlot = l, s
@@ -142,7 +141,7 @@ func (h *home) peek(l cache.Line) *homeLine {
 	if h.lastSlot != nil && h.lastLine == l {
 		return h.lastSlot
 	}
-	if id, ok := h.ids[l]; ok {
+	if id, ok := h.ids.get(l); ok {
 		return h.lines[id]
 	}
 	return nil

@@ -222,7 +222,7 @@ type L1 struct {
 
 	// ids interns a per-L1 line ID at first touch; lines is the dense
 	// table those IDs index. Pointers keep slots stable across growth.
-	ids      map[cache.Line]int32
+	ids      lineIndex
 	lines    []*l1Line
 	lineSlab []l1Line // backing store new slots are carved from
 	// One-entry slot cache: consecutive accesses usually hit the same
@@ -258,7 +258,6 @@ func newL1(sys *System, id noc.NodeID) *L1 {
 		sys: sys,
 		id:  id,
 		arr: cache.New(sys.cfg.L1),
-		ids: make(map[cache.Line]int32),
 	}
 }
 
@@ -272,7 +271,7 @@ func (c *L1) slot(l cache.Line) *l1Line {
 		return c.lastSlot
 	}
 	var s *l1Line
-	if id, ok := c.ids[l]; ok {
+	if id, ok := c.ids.get(l); ok {
 		s = c.lines[id]
 	} else {
 		if len(c.lineSlab) == 0 {
@@ -281,7 +280,7 @@ func (c *L1) slot(l cache.Line) *l1Line {
 		s = &c.lineSlab[0]
 		c.lineSlab = c.lineSlab[1:]
 		s.l = l
-		c.ids[l] = int32(len(c.lines))
+		c.ids.add(l)
 		c.lines = append(c.lines, s)
 	}
 	c.lastLine, c.lastSlot = l, s
@@ -293,7 +292,7 @@ func (c *L1) peek(l cache.Line) *l1Line {
 	if c.lastSlot != nil && c.lastLine == l {
 		return c.lastSlot
 	}
-	if id, ok := c.ids[l]; ok {
+	if id, ok := c.ids.get(l); ok {
 		return c.lines[id]
 	}
 	return nil
